@@ -14,14 +14,19 @@
 /// JOINOPT_BENCH_JSON line per cell — the seed of the BENCH_parallel.json
 /// perf trajectory (see tools/ci.sh) — and `--conv-head-to-head` runs the
 /// DPccp-vs-DPconv clique-16 duel the same way (ci.sh fails the build if
-/// the DPconv cell is slower than DPccp's).
+/// the DPconv cell is slower than DPccp's). `--dense-gate-crossover`
+/// prints the DPccp-vs-DPconv table by relation count and edge density
+/// that the default policy's `when=dense` gate is drawn from.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
 #include "common.h"
+#include "core/policy.h"
 #include "cost/cost_model.h"
 #include "graph/generators.h"
 #include "hyper/dphyp.h"
@@ -271,6 +276,70 @@ int RunConvHeadToHead() {
   return 0;
 }
 
+/// The --dense-gate-crossover sweep: serial DPccp vs DPconv (its default
+/// zeta gate) under Cout on random connected graphs, by relation count and
+/// edge density E / (n(n-1)/2). Each cell reports DPccp's time over
+/// DPconv's (> 1: DPconv wins) and whether the default policy's
+/// `when=dense` gate routes the graph to DPconv. Fails on any cost that
+/// is not bit-identical between the two.
+int RunDenseGateCrossover() {
+  const CoutCostModel cost_model;
+  const double densities[] = {0.15, 0.2, 0.25, 0.35, 0.5, 1.0};
+  std::printf("dense-gate crossover, random connected, Cout: DPccp ms / "
+              "DPconv ms = speedup (* = gate routes to DPconv)\n");
+  std::printf("%4s", "n");
+  for (const double density : densities) {
+    std::printf("  %24.2f", density);
+  }
+  std::printf("\n");
+  for (const int n : {8, 9, 10, 11, 12, 13, 14, 15, 16, 17}) {
+    std::printf("%4d", n);
+    for (const double density : densities) {
+      const int max_edges = n * (n - 1) / 2;
+      const int edges = std::max(
+          n - 1, static_cast<int>(std::ceil(density * max_edges)));
+      WorkloadConfig config;
+      config.seed = 20061012 + static_cast<uint64_t>(n);
+      const Result<QueryGraph> graph =
+          MakeRandomConnectedQuery(n, edges - (n - 1), config);
+      JOINOPT_CHECK(graph.ok());
+      char shape[32];
+      std::snprintf(shape, sizeof(shape), "random-d%.2f", density);
+      double seconds[2] = {0.0, 0.0};
+      double costs[2] = {0.0, 0.0};
+      const char* const cells[2] = {"DPccp", "DPconv"};
+      for (int i = 0; i < 2; ++i) {
+        OptimizerStats stats;
+        seconds[i] = bench::MeasureSeconds(bench::Orderer(cells[i]), *graph,
+                                           cost_model, &stats);
+        Result<OptimizationResult> result =
+            bench::Orderer(cells[i]).Optimize(*graph, cost_model);
+        JOINOPT_CHECK(result.ok());
+        costs[i] = result->cost;
+        bench::EmitBenchJson(cells[i], shape, n, stats, seconds[i]);
+      }
+      if (costs[0] != costs[1]) {
+        std::fprintf(stderr,
+                     "dense-gate crossover: n=%d density %.2f cost mismatch "
+                     "DPccp %.17g vs DPconv %.17g\n",
+                     n, density, costs[0], costs[1]);
+        return 1;
+      }
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), "%.3g/%.3g=%.2f%s",
+                    seconds[0] * 1e3, seconds[1] * 1e3,
+                    seconds[0] / seconds[1],
+                    StepGateHolds(StepGate::kDense, *graph, cost_model)
+                        ? "*"
+                        : " ");
+      std::printf("  %24s", cell);
+      std::fflush(stdout);
+    }
+    std::printf("\n");
+  }
+  return 0;
+}
+
 }  // namespace
 }  // namespace joinopt
 
@@ -282,6 +351,9 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--conv-head-to-head") == 0) {
       return joinopt::RunConvHeadToHead();
+    }
+    if (std::strcmp(argv[i], "--dense-gate-crossover") == 0) {
+      return joinopt::RunDenseGateCrossover();
     }
   }
   benchmark::Initialize(&argc, argv);

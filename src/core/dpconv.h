@@ -36,8 +36,9 @@ namespace joinopt {
 /// inversion needs additive inverses, which (min,+) lacks, and the
 /// quantized O(2^n·M) workaround would break the bit-identical-cost
 /// contract (see DESIGN.md §12). The ranked transforms cost O(n²·2^n)
-/// and are gated to dense graphs (n in [10, 17], edge density ≥ 1/2)
-/// where the 3^n sweep actually dominates.
+/// and are gated to dense graphs (n in [15, 17], edge density ≥ 1/2)
+/// where the 3^n sweep actually dominates; below 15 relations they cost
+/// as much time as they save.
 ///
 /// Cross products never arise: the sweep skips disconnected S (DPsub's
 /// bitset-BFS connectivity test), and for connected S any partition into

@@ -43,6 +43,14 @@ Status ParseAttribute(std::string_view attr, PolicyStep* step) {
     return Status::InvalidArgument("policy attribute '" + std::string(key) +
                                    "' has an empty value");
   }
+  if (key == "when") {
+    if (value != "dense") {
+      return Status::InvalidArgument("policy attribute 'when=" + value +
+                                     "' is unknown; expected when=dense");
+    }
+    step->when = StepGate::kDense;
+    return Status::OK();
+  }
   char* end = nullptr;
   if (key == "budget" || key == "deadline") {
     const double parsed = std::strtod(value.c_str(), &end);
@@ -79,7 +87,7 @@ Status ParseAttribute(std::string_view attr, PolicyStep* step) {
   }
   return Status::InvalidArgument(
       "unknown policy attribute '" + std::string(key) +
-      "'; expected budget=, deadline=, retries=, or k=");
+      "'; expected when=, budget=, deadline=, retries=, or k=");
 }
 
 Status ParseStep(std::string_view token, DegradationPolicy* policy) {
@@ -145,10 +153,34 @@ Status ParseStep(std::string_view token, DegradationPolicy* policy) {
   return Status::OK();
 }
 
+/// The final step runs for every query, so the caller always gets a plan
+/// (or that step's own error).
+Status RequireUngatedFinalStep(const DegradationPolicy& policy) {
+  if (policy.steps().back().when != StepGate::kAlways) {
+    return Status::InvalidArgument(
+        "degradation policy '" + policy.ToString() +
+        "' ends in a gated step; the final step must run for every query");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+bool StepGateHolds(StepGate gate, const QueryGraph& graph,
+                   const CostModel& cost_model) {
+  if (gate == StepGate::kAlways) {
+    return true;
+  }
+  const int n = graph.relation_count();
+  return cost_model.name() == "Cout" && n >= kDenseGateMinRelations &&
+         n <= kDenseGateMaxRelations &&
+         8 * graph.edge_count() >= n * (n - 1);
+}
 
 DegradationPolicy DegradationPolicy::Default() {
   DegradationPolicy policy;
+  policy.Append(PolicyStep{
+      .algorithm = "DPconv", .salvage = true, .when = StepGate::kDense});
   policy.Append(PolicyStep{.algorithm = "DPccp", .salvage = true});
   policy.Append(PolicyStep{.algorithm = "IDP1", .k = 5});
   policy.Append(PolicyStep{.algorithm = "GOO"});
@@ -172,6 +204,7 @@ Result<DegradationPolicy> DegradationPolicy::Parse(std::string_view text) {
     }
     rest = rest.substr(arrow + 2);
   }
+  JOINOPT_RETURN_IF_ERROR(RequireUngatedFinalStep(policy));
   return policy;
 }
 
@@ -198,6 +231,9 @@ std::string DegradationPolicy::ToString() const {
       }
       attrs += attr;
     };
+    if (step.when == StepGate::kDense) {
+      append_attr("when=dense");
+    }
     if (step.budget_scale != 1.0) {
       std::snprintf(buffer, sizeof(buffer), "budget=%g", step.budget_scale);
       append_attr(buffer);
@@ -228,10 +264,14 @@ Result<OptimizationResult> RunDegradationPolicy(const DegradationPolicy& policy,
   if (policy.empty()) {
     return Status::InvalidArgument("degradation policy has no steps");
   }
+  JOINOPT_RETURN_IF_ERROR(RequireUngatedFinalStep(policy));
   const QueryGraph& graph = ctx.graph();
   const CostModel& cost_model = ctx.cost_model();
   const OptimizeOptions& base = ctx.options();
   const std::vector<PolicyStep>& steps = policy.steps();
+  const auto applies = [&](const PolicyStep& step) {
+    return StepGateHolds(step.when, graph, cost_model);
+  };
 
   std::string fallback_from;
   Result<OptimizationResult> result = Status::Internal("policy ran no step");
@@ -243,6 +283,13 @@ Result<OptimizationResult> RunDegradationPolicy(const DegradationPolicy& policy,
 
   for (size_t si = 0; si < steps.size(); ++si) {
     const PolicyStep& step = steps[si];
+    // A step whose gate does not hold is skipped before it starts. It is
+    // not a fallback, so it leaves no mark in fallback_from (the serving
+    // layer's cacheability check) and fires no OnFallback.
+    if (!applies(step)) {
+      continue;
+    }
+    // The final step is ungated, so it is the last one to run.
     const bool last = si + 1 == steps.size();
 
     // Resolve the orderer; an explicit k overrides the registry's
@@ -274,7 +321,7 @@ Result<OptimizationResult> RunDegradationPolicy(const DegradationPolicy& policy,
             base.deadline_seconds * step.deadline_slice * boost;
       }
       options.salvage_on_interrupt = step.salvage;
-      if (last && si > 0) {
+      if (last && !fallback_from.empty()) {
         // Final step reached after a failure: strip the limits (tracing
         // and counter reporting stay) — another kBudgetExceeded would
         // leave the caller with no plan at all.
@@ -312,8 +359,12 @@ Result<OptimizationResult> RunDegradationPolicy(const DegradationPolicy& policy,
     }
     fallback_from += step.algorithm;
     if (JOINOPT_UNLIKELY(base.trace != nullptr)) {
+      size_t next = si + 1;
+      while (!applies(steps[next])) {
+        ++next;
+      }
       ctx.governor().GuardedTrace([&] {
-        base.trace->OnFallback(step.algorithm, steps[si + 1].algorithm,
+        base.trace->OnFallback(step.algorithm, steps[next].algorithm,
                                result.status());
       });
       if (JOINOPT_UNLIKELY(ctx.exhausted())) {

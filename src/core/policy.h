@@ -9,6 +9,37 @@
 
 namespace joinopt {
 
+/// When a policy step applies (attribute `when=`). A step whose gate does
+/// not hold for the query is skipped silently: it is not a fallback, so
+/// it adds nothing to stats.fallback_from and fires no OnFallback.
+enum class StepGate {
+  /// Always runs (no `when=` attribute).
+  kAlways,
+  /// `when=dense`: the cost model is Cout, the query has between
+  /// kDenseGateMinRelations and kDenseGateMaxRelations relations, and
+  /// its edge density is at least 1/4 (8·E >= n(n-1)) — where DPconv's
+  /// subset convolution beats DPccp's csg-cmp-pair sweep (measured
+  /// crossover table: DESIGN.md §12).
+  kDense,
+};
+
+/// The `when=dense` window (crossover table: DESIGN.md §12, reproduced by
+/// `bench/micro_optimizers --dense-gate-crossover`). At density 1/4 and
+/// above DPconv runs 1.1-10x faster than DPccp for n in [10, 16]; below
+/// 1/4 it mostly loses. Below 10 relations both finish in under 0.6 ms,
+/// so the gate leaves the small queries that make up most serving
+/// traffic on DPccp. Above 16 the zeta transforms of a dense query
+/// allocate (n-2)·2^n doubles (15 MiB at n = 17), more than a default
+/// should take unasked. Fixed on purpose: the gate is part of the
+/// default policy's meaning, not a tuning knob.
+inline constexpr int kDenseGateMinRelations = 10;
+inline constexpr int kDenseGateMaxRelations = 16;
+
+/// Whether `gate` holds for `graph` under `cost_model`: a pure function of
+/// the two, so a query's route through a policy is deterministic.
+bool StepGateHolds(StepGate gate, const QueryGraph& graph,
+                   const CostModel& cost_model);
+
 /// One rung of a degradation policy: which algorithm to run and how much
 /// of the caller's resource envelope to give it. Scales apply to the base
 /// OptimizeOptions the policy runs under; zero ("unlimited") limits stay
@@ -33,6 +64,8 @@ struct PolicyStep {
   /// interrupted run completes a best-effort plan from the partial memo
   /// instead of falling through to the next step.
   bool salvage = false;
+  /// Gate (`when=`); see StepGate.
+  StepGate when = StepGate::kAlways;
 };
 
 /// An ordered list of PolicySteps — the declarative replacement for
@@ -42,26 +75,31 @@ struct PolicyStep {
 ///   policy  := step (" -> " step)*
 ///   step    := NAME attrs? | "salvage"
 ///   attrs   := "[" attr ("," attr)* "]"
-///   attr    := "budget=" FLOAT | "deadline=" FLOAT
+///   attr    := "when=dense" | "budget=" FLOAT | "deadline=" FLOAT
 ///            | "retries=" INT | "k=" INT
 ///
 /// "salvage" is a pseudo-step that arms anytime salvage on the step
-/// before it. Example (the library default):
+/// before it. The final step may not carry a `when=` gate, so every query
+/// has a step that runs. Example (the library default):
 ///
-///   DPccp -> salvage -> IDP1[k=5] -> GOO
+///   DPconv[when=dense] -> salvage -> DPccp -> salvage -> IDP1[k=5] -> GOO
 ///
-/// reads: try exact DPccp; if a limit trips, salvage a best-effort plan
-/// from its memo; if even salvage cannot complete a plan, rerun with
-/// IDP1 (block size 5), then GOO (the final step runs limits-stripped so
-/// the caller always gets SOME plan).
+/// reads: for a dense Cout query of 10-16 relations, run exact DPconv;
+/// for any other query skip it and run exact DPccp. If a limit trips,
+/// salvage a best-effort plan from the memo; if even salvage cannot
+/// complete a plan, fall through to the next step that applies — DPccp,
+/// then IDP1 (block size 5), then GOO (the final step runs
+/// limits-stripped after a failure so the caller always gets SOME plan).
 class DegradationPolicy {
  public:
-  /// The documented default: `DPccp -> salvage -> IDP1[k=5] -> GOO`.
+  /// The documented default:
+  /// `DPconv[when=dense] -> salvage -> DPccp -> salvage -> IDP1[k=5] -> GOO`.
   static DegradationPolicy Default();
 
   /// Parses the grammar above. Fails with InvalidArgument on syntax
   /// errors, unknown algorithm names (checked against the registry),
-  /// out-of-range attributes, or a leading "salvage".
+  /// out-of-range attributes, an unknown `when=` value, a gated final
+  /// step, or a leading "salvage".
   static Result<DegradationPolicy> Parse(std::string_view text);
 
   /// Parse(JOINOPT_POLICY) when the variable is set and non-empty,
@@ -80,7 +118,8 @@ class DegradationPolicy {
   std::vector<PolicyStep> steps_;
 };
 
-/// Executes `policy` for ctx's query: each step runs in a sub-context
+/// Executes `policy` for ctx's query: steps whose gate does not hold are
+/// skipped; each other step runs in a sub-context
 /// re-armed via ResetForRerun with the step's scaled limits, retrying
 /// with doubled limits up to `retries` times on kBudgetExceeded /
 /// kInternal, and falling through to the next step on kBudgetExceeded.

@@ -29,7 +29,10 @@ Result<int> QueryGraph::AddRelation(double cardinality, std::string name) {
   const int index = relation_count();
   cardinalities_.push_back(cardinality);
   if (name.empty()) {
-    name = "R" + std::to_string(index);
+    // Built in place: GCC 12 at -O3 reports a false -Wrestrict overlap
+    // for `"R" + std::to_string(index)`.
+    name = std::to_string(index);
+    name.insert(name.begin(), 'R');
   }
   names_.push_back(std::move(name));
   neighbor_masks_.push_back(NodeSet());

@@ -45,7 +45,11 @@ struct ServiceConfig {
   int max_retries = 1;
   double retry_backoff_seconds = 0.0;
   /// Degradation policy for requests that do not name an orderer. Empty =
-  /// the library default (DPccp -> salvage -> IDP1[k=5] -> GOO).
+  /// the library default (DPconv[when=dense] -> salvage -> DPccp ->
+  /// salvage -> IDP1[k=5] -> GOO). The normalized policy string is part of
+  /// every cache key, so plans cached under another policy string (for
+  /// example a snapshot written under an earlier default) miss once and
+  /// are re-planned.
   std::string policy;
   /// Plan cache; set cache_enabled=false to run every query through the
   /// DP (the cache object still exists so generation stamps stay

@@ -59,12 +59,14 @@ void ThreadPool::WorkerLoop(int worker) {
         return;
       }
       seen_generation = batch_generation_;
+      ++draining_;
     }
     const uint64_t done = DrainTasks(worker);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       batch_tasks_finished_ += done;
-      if (batch_tasks_finished_ == batch_task_count_) {
+      --draining_;
+      if (batch_tasks_finished_ == batch_task_count_ || draining_ == 0) {
         batch_done_.notify_all();
       }
     }
@@ -77,15 +79,22 @@ void ThreadPool::Run(uint64_t task_count,
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A worker that woke for the previous batch only after it completed
+    // may still be inside DrainTasks, about to claim an index. Resetting
+    // the batch under it would let it run a task of this batch twice, or
+    // through a stale function: wait until it has left.
+    batch_done_.wait(lock, [&] { return draining_ == 0; });
     batch_task_count_ = task_count;
     batch_tasks_finished_ = 0;
     batch_fn_ = &fn;
-    next_task_.store(0, std::memory_order_relaxed);
+    // Task 0 is the coordinator's, claimed before any worker wakes.
+    next_task_.store(1, std::memory_order_relaxed);
     ++batch_generation_;
   }
   work_ready_.notify_all();
-  const uint64_t done = DrainTasks(0);
+  fn(0, 0);
+  const uint64_t done = 1 + DrainTasks(0);
   std::unique_lock<std::mutex> lock(mutex_);
   batch_tasks_finished_ += done;
   batch_done_.wait(lock,

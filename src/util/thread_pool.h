@@ -50,8 +50,10 @@ class ThreadPool {
   /// [0, task_count), distributing indices dynamically across the workers
   /// and the calling thread. `worker` identifies the executing slot
   /// (coordinator = 0, spawned workers 1..thread_count()-1) so callers can
-  /// keep per-worker accumulators without synchronization. Returns when
-  /// all tasks have completed. `fn` must not throw.
+  /// keep per-worker accumulators without synchronization. The
+  /// coordinator always runs task 0 itself (claimed before the workers
+  /// wake), so slot 0 runs at least one task of every non-empty batch.
+  /// Returns when all tasks have completed. `fn` must not throw.
   void Run(uint64_t task_count,
            const std::function<void(uint64_t, int)>& fn);
 
@@ -77,6 +79,9 @@ class ThreadPool {
   uint64_t batch_task_count_ = 0;
   uint64_t batch_tasks_finished_ = 0;
   const std::function<void(uint64_t, int)>* batch_fn_ = nullptr;
+  /// Workers inside DrainTasks. The batch fields above change only while
+  /// it is 0, so no worker ever claims against a half-replaced batch.
+  int draining_ = 0;
   std::atomic<uint64_t> next_task_{0};
   bool shutting_down_ = false;
 };

@@ -101,12 +101,13 @@ TEST(DPconvTest, SignatureMatchesDPccpOnUniqueCostInstances) {
 /// The zeta-transform lower-bound pruning must be invisible in results:
 /// strict-< updates make the running best the first achiever of the
 /// final minimum, so the pruned sweep selects the same winning split as
-/// the exhaustive one — fewer probes, identical memo.
+/// the exhaustive one — fewer probes, identical memo. Cliques 15 and 16
+/// sit inside the pruning gate (n in [15, 17], density >= 1/2).
 TEST(DPconvTest, ZetaPruningIsResultInvariant) {
   const CoutCostModel cost_model;
   const DPconv pruned(/*use_zeta_pruning=*/true);
   const DPconv exhaustive(/*use_zeta_pruning=*/false);
-  for (const int n : {10, 12}) {
+  for (const int n : {15, 16}) {
     Result<QueryGraph> graph = MakeCliqueQuery(n);
     ASSERT_TRUE(graph.ok());
     SCOPED_TRACE("clique-" + std::to_string(n));
@@ -116,12 +117,31 @@ TEST(DPconvTest, ZetaPruningIsResultInvariant) {
     EXPECT_EQ(fast->cost, full->cost);
     EXPECT_EQ(PlanToExpression(fast->plan, *graph),
               PlanToExpression(full->plan, *graph));
-    // Pruning may only shorten the sweep, and the per-set winners — and
-    // therefore everything materialized into the memo — must not move.
-    EXPECT_LE(fast->stats.inner_counter, full->stats.inner_counter);
+    // Pruning must shorten the sweep (so it really fired), and the
+    // per-set winners — and therefore everything materialized into the
+    // memo — must not move.
+    EXPECT_LT(fast->stats.inner_counter, full->stats.inner_counter);
     EXPECT_EQ(fast->stats.csg_cmp_pair_counter,
               full->stats.csg_cmp_pair_counter);
     EXPECT_EQ(fast->stats.plans_stored, full->stats.plans_stored);
+  }
+}
+
+/// Below 15 relations the ranked transforms cost as much time as they
+/// save, so the gate keeps them off: the default-constructed orderer
+/// sweeps exactly as many splits as the exhaustive one.
+TEST(DPconvTest, ZetaPruningIsOffBelowFifteenRelations) {
+  const CoutCostModel cost_model;
+  const DPconv pruned(/*use_zeta_pruning=*/true);
+  const DPconv exhaustive(/*use_zeta_pruning=*/false);
+  for (const int n : {10, 14}) {
+    Result<QueryGraph> graph = MakeCliqueQuery(n);
+    ASSERT_TRUE(graph.ok());
+    SCOPED_TRACE("clique-" + std::to_string(n));
+    Result<OptimizationResult> gated = pruned.Optimize(*graph, cost_model);
+    Result<OptimizationResult> full = exhaustive.Optimize(*graph, cost_model);
+    ASSERT_TRUE(gated.ok() && full.ok());
+    EXPECT_EQ(gated->stats.inner_counter, full->stats.inner_counter);
   }
 }
 

@@ -338,7 +338,9 @@ TEST(PlanCacheTest, ShardCountClampsToPowerOfTwo) {
     PlanCache cache(config);
     // Spread inserts over the hash space; every insert must land.
     for (int i = 0; i < 32; ++i) {
-      CachedPlan entry = MakeEntry("k" + std::to_string(i), 1);
+      // A char, not "k": GCC 12 -O3 reports a false -Wrestrict on
+      // const char* + std::string&&.
+      CachedPlan entry = MakeEntry('k' + std::to_string(i), 1);
       entry.hash = static_cast<uint64_t>(i) << 56;  // One per top-byte.
       ASSERT_EQ(cache.Insert(entry), CacheInsert::kInserted)
           << "shards=" << requested << " i=" << i;

@@ -38,7 +38,8 @@ TEST(ThreadPoolTest, WorkerIndicesStayInRange) {
   });
   EXPECT_GE(min_worker.load(), 0);
   EXPECT_LT(max_worker.load(), pool.thread_count());
-  // The coordinator participates, so slot 0 always runs something.
+  // The coordinator claims task 0 before the workers wake, so slot 0
+  // always runs something.
   EXPECT_EQ(min_worker.load(), 0);
 }
 
@@ -70,6 +71,28 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
     expected += static_cast<uint64_t>(batch) * 37;
   }
   EXPECT_EQ(total.load(), expected);
+}
+
+/// Many tiny back-to-back batches: a worker that wakes for a batch only
+/// after it completed must not claim an index of the next one, which
+/// would run a task twice (or through the finished batch's function)
+/// and break Run's completion count.
+TEST(ThreadPoolTest, TinyBatchesRunEachTaskExactlyOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4);
+  for (int batch = 0; batch < 20000; ++batch) {
+    const uint64_t tasks = 1 + batch % 4;
+    for (std::atomic<int>& hit : hits) {
+      hit.store(0, std::memory_order_relaxed);
+    }
+    pool.Run(tasks, [&](uint64_t task, int /*worker*/) {
+      hits[task].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (uint64_t t = 0; t < hits.size(); ++t) {
+      ASSERT_EQ(hits[t].load(), t < tasks ? 1 : 0)
+          << "batch " << batch << " task " << t;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, EmptyBatchReturnsWithoutCallingFn) {

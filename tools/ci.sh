@@ -4,15 +4,17 @@
 # ASan+UBSan (Debug, so assertions and the plan-table generation checks
 # are live), and under TSan (Debug), which builds the concurrent soak
 # harness and the differential fuzzer and runs them with the parallel DP
-# orderers in the algorithm mix. The plain pass additionally emits the
-# BENCH_parallel.json thread-scaling artifact.
+# orderers in the algorithm mix — then configure and build everything
+# once more in Release (-O3, still -Werror). The plain pass additionally
+# emits the BENCH_parallel.json thread-scaling artifact.
 # Intended both for automation and as the one command to run before
 # sending a change:
 #
-#   tools/ci.sh            # all three passes
+#   tools/ci.sh            # all four passes
 #   tools/ci.sh plain      # just the plain pass
 #   tools/ci.sh sanitize   # just the ASan+UBSan pass
 #   tools/ci.sh tsan       # just the TSan soak pass
+#   tools/ci.sh release    # just the Release configure-and-build
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -266,11 +268,22 @@ run_tsan_pass() {
   "${build_dir}/tools/joinopt_fuzz" --iters 120 --seed 20060912
 }
 
+run_release_pass() {
+  local build_dir="build-release"
+  echo "=== release: configure (${build_dir}) ==="
+  # GCC's optimizer-driven diagnostics (-Wrestrict, -Warray-bounds, ...)
+  # only fire at -O3, so the Release configuration must compile clean
+  # under -Werror too; the tests already ran in the passes above.
+  cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=Release
+  echo "=== release: build ==="
+  cmake --build "${build_dir}" -j "${jobs}"
+}
+
 mode="${1:-all}"
 case "${mode}" in
-  plain | sanitize | tsan | all) ;;
+  plain | sanitize | tsan | release | all) ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|all]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|release|all]" >&2
     exit 2
     ;;
 esac
@@ -284,6 +297,9 @@ if [[ "${mode}" == sanitize || "${mode}" == all ]]; then
 fi
 if [[ "${mode}" == tsan || "${mode}" == all ]]; then
   run_tsan_pass
+fi
+if [[ "${mode}" == release || "${mode}" == all ]]; then
+  run_release_pass
 fi
 
 echo "=== CI green (${mode}) ==="

@@ -13,7 +13,11 @@
 ///                PlanValidator-clean trees. DPconv's cost must equal
 ///                DPccp's BIT FOR BIT below the saturation regime; under
 ///                non-Cout models DPconv must instead refuse with a typed
-///                kInvalidArgument.
+///                kInvalidArgument. The library's default degradation
+///                policy joins the pool: it must name the orderer its
+///                `when=dense` gate picks (DPconv or DPccp), record no
+///                fallback, and return DPccp's cost bit for bit (below
+///                saturation when it routed to DPconv).
 ///   extreme      legal-but-extreme statistics (cardinalities up to
 ///                1e305, selectivities down to 1e-305) that overflow
 ///                naive arithmetic immediately. Same oracle as `plain`,
@@ -119,6 +123,14 @@ constexpr int kDPconvIndex = 6;
 /// differential oracle downgrades from equality to finiteness.
 constexpr double kSaturationRegime = 1e250;
 
+/// How often the default policy ran in the differential, and how often
+/// its `when=dense` gate routed the query to DPconv.
+struct PolicyFuzz {
+  uint64_t runs = 0;
+  uint64_t routed = 0;
+};
+PolicyFuzz g_policy_fuzz;
+
 struct FuzzFailure {
   bool failed = false;
   std::string detail;
@@ -214,6 +226,34 @@ void CheckAgreement(const QueryGraph& graph, const CostModel& cost_model,
     }
     min_cost = std::min(min_cost, costs[a]);
     max_cost = std::max(max_cost, costs[a]);
+  }
+  {
+    OptimizerContext ctx(graph, cost_model);
+    Result<OptimizationResult> result =
+        RunDegradationPolicy(DegradationPolicy::Default(), ctx);
+    FUZZ_CHECK(result.ok(), "default policy failed: %s",
+               result.status().ToString().c_str());
+    const bool routed = StepGateHolds(StepGate::kDense, graph, cost_model);
+    ++g_policy_fuzz.runs;
+    g_policy_fuzz.routed += routed ? 1 : 0;
+    FUZZ_CHECK(result->stats.algorithm == (routed ? "DPconv" : "DPccp"),
+               "default policy ran %s, want %s",
+               result->stats.algorithm.c_str(), routed ? "DPconv" : "DPccp");
+    FUZZ_CHECK(result->stats.fallback_from.empty(),
+               "default policy fell back from %s on an unlimited run",
+               result->stats.fallback_from.c_str());
+    PlanValidationOptions validation;
+    validation.relative_tolerance = 1e-6;
+    const Status valid =
+        ValidatePlan(result->plan, graph, cost_model, validation);
+    FUZZ_CHECK(valid.ok(), "default policy plan failed validation: %s",
+               valid.ToString().c_str());
+    if (!routed || min_cost < kSaturationRegime) {
+      FUZZ_CHECK(result->cost == costs[kDPccpIndex],
+                 "default policy cost %.17g != DPccp cost %.17g "
+                 "(bit-identity contract)",
+                 result->cost, costs[kDPccpIndex]);
+    }
   }
   if (cout_model && ran[kDPconvIndex] && min_cost < kSaturationRegime) {
     // Below saturation the subset convolution and the csg-cmp sweep must
@@ -700,6 +740,9 @@ int Run(uint64_t seed, uint64_t iterations, bool verbose) {
               PRIu64 " incomplete, %" PRIu64 " survivors\n",
               g_wire_fuzz.mutations, g_wire_fuzz.rejected,
               g_wire_fuzz.incomplete, g_wire_fuzz.survivors);
+  std::printf("policy fuzz: %" PRIu64 " default-policy runs, %" PRIu64
+              " routed to DPconv\n",
+              g_policy_fuzz.runs, g_policy_fuzz.routed);
   return 0;
 }
 

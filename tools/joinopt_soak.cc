@@ -821,6 +821,58 @@ int RunServiceMode(const SoakConfig& config) {
 
 #ifndef _WIN32
 
+/// Prints what each thread of `pid` is blocked in (the kernel's wait
+/// channel and current syscall line from /proc/<pid>/task/<tid>/), so a
+/// watchdog kill leaves a record of where the child hung. Best effort:
+/// prints nothing where /proc is unavailable.
+void DumpThreadStates(pid_t pid, const char* what) {
+  const std::filesystem::path tasks =
+      std::filesystem::path("/proc") / std::to_string(pid) / "task";
+  std::error_code ec;
+  for (const auto& task : std::filesystem::directory_iterator(tasks, ec)) {
+    std::string fields[3];
+    const char* const names[3] = {"comm", "wchan", "syscall"};
+    for (int i = 0; i < 3; ++i) {
+      std::ifstream in(task.path() / names[i]);
+      std::getline(in, fields[i]);
+    }
+    std::fprintf(stderr,
+                 "joinopt_soak: %s: thread %s (%s) wchan=%s syscall=%s\n",
+                 what, task.path().filename().c_str(), fields[0].c_str(),
+                 fields[1].c_str(), fields[2].c_str());
+  }
+}
+
+/// waitpid(pid) bounded by `seconds`: true once the child has exited
+/// (its status in *status). On timeout, dumps the child's thread states,
+/// SIGKILLs and reaps it, and returns false.
+bool WaitBounded(pid_t pid, double seconds, const char* what, int* status) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(seconds));
+  for (;;) {
+    const pid_t reaped = ::waitpid(pid, status, WNOHANG);
+    if (reaped == pid) {
+      return true;
+    }
+    if (reaped < 0) {
+      std::perror("joinopt_soak: waitpid");
+      return false;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::fprintf(stderr, "joinopt_soak: WATCHDOG: %s did not exit in %.0fs\n",
+               what, seconds);
+  DumpThreadStates(pid, what);
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  return false;
+}
+
 /// Snapshot cadence inside the worker: tight enough that a randomized
 /// 5-250 ms kill frequently lands mid-snapshot-write, exercising the
 /// temp-file + atomic-rename protocol, not just happy-path persistence.
@@ -1034,10 +1086,14 @@ int RunCrashRecovery(const SoakConfig& config) {
     }
     if (final_cycle) {
       // Clean cycle: no kill. The worker must recover, replay the pool
-      // as hits, run a bounded chaos stream, drain, and exit 0.
+      // as hits, run a bounded chaos stream, drain, and exit 0 — within
+      // the watchdog budget.
       int status = 0;
-      if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-          WEXITSTATUS(status) != 0) {
+      if (!WaitBounded(pid, config.watchdog_seconds, "final clean cycle",
+                       &status)) {
+        return 3;
+      }
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
         std::fprintf(stderr,
                      "joinopt_soak: final clean cycle did not exit 0 "
                      "(status 0x%x)\n",
@@ -1070,6 +1126,7 @@ int RunCrashRecovery(const SoakConfig& config) {
                    "joinopt_soak: WATCHDOG: cycle %" PRIu64
                    " worker never became ready in %.0fs\n",
                    cycle, config.watchdog_seconds);
+      DumpThreadStates(pid, "unready worker");
       ::kill(pid, SIGKILL);
       ::waitpid(pid, nullptr, 0);
       return 3;
@@ -1334,6 +1391,7 @@ int WireForkPhase(const SoakConfig& config,
                    "joinopt_soak: WATCHDOG: wire cycle %" PRIu64
                    " server never published its port\n",
                    cycle);
+      DumpThreadStates(pid, "unpublished wire server");
       ::kill(pid, SIGKILL);
       ::waitpid(pid, nullptr, 0);
       return 3;
@@ -1396,8 +1454,11 @@ int WireForkPhase(const SoakConfig& config,
       client.Disconnect();
       ::kill(pid, SIGTERM);
       int status = 0;
-      if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-          WEXITSTATUS(status) != 0) {
+      if (!WaitBounded(pid, config.watchdog_seconds, "draining wire server",
+                       &status)) {
+        return 3;
+      }
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
         std::fprintf(stderr,
                      "joinopt_soak: wire final cycle did not drain to exit 0 "
                      "(status 0x%x)\n",
