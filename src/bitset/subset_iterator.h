@@ -81,6 +81,15 @@ class ProperSubsetIterator {
   bool done_;
 };
 
+/// Gosper's hack: the next mask with the same popcount as the non-zero
+/// `mask`, in ascending order. Sweeps all size-k subsets of a prefix; the
+/// caller's loop bound handles the final overflow.
+inline uint64_t NextSameCount(uint64_t mask) {
+  const uint64_t low = mask & (0 - mask);
+  const uint64_t carry = mask + low;
+  return carry | (((mask ^ carry) >> 2) / low);
+}
+
 }  // namespace joinopt
 
 #endif  // JOINOPT_BITSET_SUBSET_ITERATOR_H_

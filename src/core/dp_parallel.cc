@@ -61,13 +61,6 @@ constexpr uint64_t kWorkerPollStride = 4096;
 /// few MB regardless of n.
 constexpr uint64_t kBlockMasks = uint64_t{1} << 16;
 
-/// Gosper's hack: the next integer with the same popcount.
-uint64_t NextSameCount(uint64_t v) {
-  const uint64_t c = v & (0 - v);
-  const uint64_t r = v + c;
-  return r | (((v ^ r) >> 2) / c);
-}
-
 /// Worker-local best-candidate reduction for one DPsizePar size layer,
 /// keyed by the combined set's mask. This replaces the per-worker
 /// std::unordered_map<NodeSet, PlanEntry> of the first parallel

@@ -28,7 +28,7 @@ Result<OptimizationResult> DPccp::Optimize(OptimizerContext& ctx) const {
       work_graph, ctx.options().memo_entry_budget));
   OptimizerStats& stats = ctx.stats();
   if (internal::SeedLeafPlans(ctx)) {
-    EnumerateCsgCmpPairsUntil(work_graph, [&](NodeSet s1, NodeSet s2) {
+    EnumerateCsgCmpPairs(work_graph, [&](NodeSet s1, NodeSet s2) {
       ++stats.inner_counter;
       ++stats.ono_lohman_counter;
       ctx.TraceCsgCmpPair(s1, s2);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "bitset/subset_iterator.h"
 #include "graph/connectivity.h"
 
 namespace joinopt {
@@ -11,14 +12,6 @@ namespace joinopt {
 namespace {
 
 constexpr double kUnreached = std::numeric_limits<double>::infinity();
-
-/// Advances a Gosper sweep: the next mask with the same popcount, in
-/// ascending order. The caller's loop bound handles the final overflow.
-inline uint64_t NextSameCount(uint64_t mask) {
-  const uint64_t low = mask & (~mask + 1);
-  const uint64_t carry = mask + low;
-  return carry | (((mask ^ carry) >> 2) / low);
-}
 
 }  // namespace
 

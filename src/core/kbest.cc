@@ -111,7 +111,7 @@ Result<std::vector<RankedPlan>> KBestJoinOrderer::Optimize(
   }
 
   const CardinalityEstimator& estimator = ctx.estimator();
-  EnumerateCsgCmpPairsUntil(work_graph, [&](NodeSet s1, NodeSet s2) {
+  EnumerateCsgCmpPairs(work_graph, [&](NodeSet s1, NodeSet s2) {
     ++stats.inner_counter;
     ++stats.ono_lohman_counter;
     ctx.TraceCsgCmpPair(s1, s2);

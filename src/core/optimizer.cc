@@ -145,46 +145,20 @@ void RelaxOneOrder(OptimizerContext& ctx, PlanRef ref, NodeSet combined,
   }
 }
 
-}  // namespace
-
-bool CreateJoinTree(OptimizerContext& ctx, NodeSet s1, NodeSet s2) {
-  OptimizerStats& stats = ctx.stats();
+/// The pricing body behind every CreateJoinTree entry point: loads both
+/// operands, interns `combined` (= set(left) ∪ set(right)), and relaxes
+/// the (left, right) order, then the (right, left) order when
+/// `both_orders`. Fusing the orders runs the operand loads, the intern
+/// and the budget check once instead of once per order.
+bool PriceJoin(OptimizerContext& ctx, NodeSet combined, PlanRef left,
+               PlanRef right, bool both_orders) {
   PlanTable& table = ctx.table();
-  ++stats.create_join_tree_calls;
-
-  const PlanRef left = table.Find(s1);
-  const PlanRef right = table.Find(s2);
-  JOINOPT_DCHECK(left != kInvalidPlanRef && right != kInvalidPlanRef);
+  ctx.stats().create_join_tree_calls += both_orders ? 2 : 1;
   const double left_cost = table.cost(left);
   const double left_card = table.cardinality(left);
   const double right_cost = table.cost(right);
   const double right_card = table.cardinality(right);
 
-  const NodeSet combined = s1 | s2;
-  bool keep_going = true;
-  const PlanRef ref = InternCombined(ctx, combined, keep_going);
-  if (JOINOPT_UNLIKELY(ref == kInvalidPlanRef)) {
-    return false;
-  }
-  RelaxOneOrder(ctx, ref, combined, left_cost, left_card, right_cost,
-                right_card, table.cardinality(ref), left, right);
-  return keep_going;
-}
-
-bool CreateJoinTreeBothOrders(OptimizerContext& ctx, PlanRef left_ref,
-                              PlanRef right_ref) {
-  OptimizerStats& stats = ctx.stats();
-  PlanTable& table = ctx.table();
-  stats.create_join_tree_calls += 2;
-
-  const NodeSet s1 = table.set(left_ref);
-  const NodeSet s2 = table.set(right_ref);
-  const double left_cost = table.cost(left_ref);
-  const double left_card = table.cardinality(left_ref);
-  const double right_cost = table.cost(right_ref);
-  const double right_card = table.cardinality(right_ref);
-
-  const NodeSet combined = s1 | s2;
   bool keep_going = true;
   const PlanRef ref = InternCombined(ctx, combined, keep_going);
   if (JOINOPT_UNLIKELY(ref == kInvalidPlanRef)) {
@@ -192,25 +166,30 @@ bool CreateJoinTreeBothOrders(OptimizerContext& ctx, PlanRef left_ref,
   }
   const double out_card = table.cardinality(ref);
   RelaxOneOrder(ctx, ref, combined, left_cost, left_card, right_cost,
-                right_card, out_card, left_ref, right_ref);
-  RelaxOneOrder(ctx, ref, combined, right_cost, right_card, left_cost,
-                left_card, out_card, right_ref, left_ref);
+                right_card, out_card, left, right);
+  if (both_orders) {
+    RelaxOneOrder(ctx, ref, combined, right_cost, right_card, left_cost,
+                  left_card, out_card, right, left);
+  }
   return keep_going;
 }
 
-bool CreateJoinTreeBothOrders(OptimizerContext& ctx, NodeSet s1, NodeSet s2) {
-  PlanTable& table = ctx.table();
+/// Looks up both operand entries (which must exist) and prices the join.
+bool PriceJoinOfSets(OptimizerContext& ctx, NodeSet s1, NodeSet s2,
+                     bool both_orders) {
+  const PlanTable& table = ctx.table();
   const PlanRef left = table.Find(s1);
   const PlanRef right = table.Find(s2);
   JOINOPT_DCHECK(left != kInvalidPlanRef && right != kInvalidPlanRef);
-  return CreateJoinTreeBothOrders(ctx, left, right);
+  return PriceJoin(ctx, s1 | s2, left, right, both_orders);
 }
 
-Result<OptimizationResult> ExtractResult(OptimizerContext& ctx) {
-  Result<JoinTree> tree =
-      JoinTree::FromPlanTable(ctx.table(), ctx.work_graph().AllRelations());
-  JOINOPT_RETURN_IF_ERROR(tree.status());
-  OptimizerStats stats = ctx.stats();
+/// Packages a finished run's plan: stamps the elapsed time, applies the
+/// collect_counters reporting toggle, and copies the plan's cost and
+/// cardinality to the top level.
+OptimizationResult PackageResult(const OptimizerContext& ctx, JoinTree plan,
+                                 OptimizerStats stats,
+                                 DegradationReport report) {
   stats.elapsed_seconds = ctx.ElapsedSeconds();
   if (JOINOPT_UNLIKELY(!ctx.options().collect_counters)) {
     stats.inner_counter = 0;
@@ -218,11 +197,36 @@ Result<OptimizationResult> ExtractResult(OptimizerContext& ctx) {
     stats.ono_lohman_counter = 0;
     stats.create_join_tree_calls = 0;
   }
-  OptimizationResult result{std::move(*tree), 0.0, 0.0, std::move(stats),
-                            DegradationReport()};
+  OptimizationResult result{std::move(plan), 0.0, 0.0, std::move(stats),
+                            std::move(report)};
   result.cost = result.plan.cost();
   result.cardinality = result.plan.cardinality();
   return result;
+}
+
+}  // namespace
+
+bool CreateJoinTree(OptimizerContext& ctx, NodeSet s1, NodeSet s2) {
+  return PriceJoinOfSets(ctx, s1, s2, /*both_orders=*/false);
+}
+
+bool CreateJoinTreeBothOrders(OptimizerContext& ctx, NodeSet s1, NodeSet s2) {
+  return PriceJoinOfSets(ctx, s1, s2, /*both_orders=*/true);
+}
+
+bool CreateJoinTreeBothOrders(OptimizerContext& ctx, PlanRef left_ref,
+                              PlanRef right_ref) {
+  const PlanTable& table = ctx.table();
+  return PriceJoin(ctx, table.set(left_ref) | table.set(right_ref), left_ref,
+                   right_ref, /*both_orders=*/true);
+}
+
+Result<OptimizationResult> ExtractResult(OptimizerContext& ctx) {
+  Result<JoinTree> tree =
+      JoinTree::FromPlanTable(ctx.table(), ctx.work_graph().AllRelations());
+  JOINOPT_RETURN_IF_ERROR(tree.status());
+  return PackageResult(ctx, std::move(*tree), ctx.stats(),
+                       DegradationReport());
 }
 
 Result<OptimizationResult> FinishOptimize(OptimizerContext& ctx,
@@ -244,20 +248,10 @@ Result<OptimizationResult> FinishOptimize(OptimizerContext& ctx,
   }
   OptimizerStats stats = ctx.stats();
   stats.plans_stored = ctx.table().populated_count();
-  stats.elapsed_seconds = ctx.ElapsedSeconds();
   stats.best_effort = true;
   stats.memo_coverage = salvaged->report.memo_coverage;
-  if (JOINOPT_UNLIKELY(!ctx.options().collect_counters)) {
-    stats.inner_counter = 0;
-    stats.csg_cmp_pair_counter = 0;
-    stats.ono_lohman_counter = 0;
-    stats.create_join_tree_calls = 0;
-  }
-  OptimizationResult result{std::move(salvaged->plan), 0.0, 0.0,
-                            std::move(stats), std::move(salvaged->report)};
-  result.cost = result.plan.cost();
-  result.cardinality = result.plan.cardinality();
-  return result;
+  return PackageResult(ctx, std::move(salvaged->plan), std::move(stats),
+                       std::move(salvaged->report));
 }
 
 }  // namespace internal

@@ -10,90 +10,13 @@ std::vector<std::pair<NodeSet, NodeSet>> CollectCsgCmpPairs(
   return result;
 }
 
-namespace {
-
-/// EnumerateCsgRec in counting mode (complement growth): every emission
-/// is one more pair. Returns false once the cap is reached.
-bool CountComplementGrowth(const QueryGraph& graph, NodeSet s, NodeSet x,
-                           uint64_t cap, uint64_t* count) {
-  const NodeSet neighborhood = graph.Neighborhood(s) - x;
-  if (neighborhood.empty()) {
-    return true;
-  }
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (++*count >= cap) {
-      return false;
-    }
-  }
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (!CountComplementGrowth(graph, s | it.Current(), x | neighborhood, cap,
-                               count)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// EnumerateCmp in counting mode for one primary component s1.
-bool CountComplementsFor(const QueryGraph& graph, NodeSet s1, uint64_t cap,
-                         uint64_t* count) {
-  const NodeSet x = NodeSet::Prefix(s1.Min() + 1) | s1;
-  const NodeSet neighborhood = graph.Neighborhood(s1) - x;
-  NodeSet remaining = neighborhood;
-  while (!remaining.empty()) {
-    const int i = remaining.Max();
-    if (++*count >= cap) {
-      return false;
-    }
-    const NodeSet b_i_of_n = neighborhood & NodeSet::Prefix(i + 1);
-    if (!CountComplementGrowth(graph, NodeSet::Singleton(i), x | b_i_of_n,
-                               cap, count)) {
-      return false;
-    }
-    remaining.Remove(i);
-  }
-  return true;
-}
-
-/// EnumerateCsgRec in counting mode (primary growth): every emission is
-/// a primary component whose complements are then counted.
-bool CountPrimaryGrowth(const QueryGraph& graph, NodeSet s, NodeSet x,
-                        uint64_t cap, uint64_t* count) {
-  const NodeSet neighborhood = graph.Neighborhood(s) - x;
-  if (neighborhood.empty()) {
-    return true;
-  }
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (!CountComplementsFor(graph, s | it.Current(), cap, count)) {
-      return false;
-    }
-  }
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (!CountPrimaryGrowth(graph, s | it.Current(), x | neighborhood, cap,
-                            count)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 uint64_t CountCsgCmpPairsUpTo(const QueryGraph& graph, uint64_t cap) {
   if (cap == 0) {
     return 0;
   }
   uint64_t count = 0;
-  for (int i = graph.relation_count() - 1; i >= 0; --i) {
-    const NodeSet start = NodeSet::Singleton(i);
-    if (!CountComplementsFor(graph, start, cap, &count)) {
-      return count;
-    }
-    if (!CountPrimaryGrowth(graph, start, NodeSet::Prefix(i + 1), cap,
-                            &count)) {
-      return count;
-    }
-  }
+  EnumerateCsgCmpPairs(graph,
+                       [&count, cap](NodeSet, NodeSet) { return ++count < cap; });
   return count;
 }
 

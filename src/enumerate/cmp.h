@@ -28,59 +28,22 @@ namespace joinopt {
 /// version; the test suite verifies the enumeration against a brute-force
 /// oracle on many graphs.
 template <typename Emit>
-void EnumerateCmp(const QueryGraph& graph, NodeSet s1, Emit&& emit) {
+bool EnumerateCmp(const QueryGraph& graph, NodeSet s1, Emit&& emit) {
   JOINOPT_DCHECK(!s1.empty());
   const NodeSet x = NodeSet::Prefix(s1.Min() + 1) | s1;
   const NodeSet neighborhood = graph.Neighborhood(s1) - x;
-  if (neighborhood.empty()) {
-    return;
-  }
   // Visit neighbors by descending index; each start node may grow through
   // neighbors of s1 with a LARGER index (they are not in B_i(N)), but not
   // through ones already used as start nodes.
-  NodeSet remaining = neighborhood;
-  while (!remaining.empty()) {
+  for (NodeSet remaining = neighborhood; !remaining.empty();) {
     const int i = remaining.Max();
     const NodeSet start = NodeSet::Singleton(i);
-    emit(start);
-    const NodeSet b_i_of_n = neighborhood & NodeSet::Prefix(i + 1);
-    EnumerateCsgRec(graph, start, x | b_i_of_n, emit);
-    remaining.Remove(i);
-  }
-}
-
-/// Enumerates all csg-cmp-pairs of the graph, invoking
-/// emit(s1, s2) once per unordered pair, in an order valid for dynamic
-/// programming (all sub-pairs of s1 and s2 emitted earlier). This is the
-/// driving loop of DPccp.
-///
-/// Precondition: BFS numbering.
-template <typename EmitPair>
-void EnumerateCsgCmpPairs(const QueryGraph& graph, EmitPair&& emit) {
-  EnumerateCsg(graph, [&graph, &emit](NodeSet s1) {
-    EnumerateCmp(graph, s1, [&emit, s1](NodeSet s2) { emit(s1, s2); });
-  });
-}
-
-/// EnumerateCmp with early termination: `emit` returns false to stop.
-/// Returns false when the enumeration was stopped.
-template <typename Emit>
-bool EnumerateCmpUntil(const QueryGraph& graph, NodeSet s1, Emit&& emit) {
-  JOINOPT_DCHECK(!s1.empty());
-  const NodeSet x = NodeSet::Prefix(s1.Min() + 1) | s1;
-  const NodeSet neighborhood = graph.Neighborhood(s1) - x;
-  if (neighborhood.empty()) {
-    return true;
-  }
-  NodeSet remaining = neighborhood;
-  while (!remaining.empty()) {
-    const int i = remaining.Max();
-    const NodeSet start = NodeSet::Singleton(i);
-    if (!emit(start)) {
+    if (!internal::Continue(emit, start)) {
       return false;
     }
     const NodeSet b_i_of_n = neighborhood & NodeSet::Prefix(i + 1);
-    if (!EnumerateCsgRecUntil(graph, start, x | b_i_of_n, emit)) {
+    if (internal::Stopped<Emit, NodeSet>(
+            EnumerateCsgRec(graph, start, x | b_i_of_n, emit))) {
       return false;
     }
     remaining.Remove(i);
@@ -88,15 +51,24 @@ bool EnumerateCmpUntil(const QueryGraph& graph, NodeSet s1, Emit&& emit) {
   return true;
 }
 
-/// EnumerateCsgCmpPairs with early termination: emit(s1, s2) returns
-/// false to unwind the whole enumeration immediately — this is what lets
-/// a resource budget abort DPccp on a hostile clique without walking the
-/// remaining ~2^n pairs. Returns false when stopped.
+/// Enumerates all csg-cmp-pairs of the graph, invoking
+/// emit(s1, s2) once per unordered pair, in an order valid for dynamic
+/// programming (all sub-pairs of s1 and s2 emitted earlier). This is the
+/// driving loop of DPccp. A bool `emit` that returns false unwinds the
+/// whole enumeration immediately: this is what lets a resource budget
+/// abort DPccp on a hostile clique without walking the remaining ~2^n
+/// pairs.
+///
+/// Precondition: BFS numbering.
 template <typename EmitPair>
-bool EnumerateCsgCmpPairsUntil(const QueryGraph& graph, EmitPair&& emit) {
-  return EnumerateCsgUntil(graph, [&graph, &emit](NodeSet s1) {
-    return EnumerateCmpUntil(graph, s1,
-                             [&emit, s1](NodeSet s2) { return emit(s1, s2); });
+bool EnumerateCsgCmpPairs(const QueryGraph& graph, EmitPair&& emit) {
+  return EnumerateCsg(graph, [&graph, &emit](NodeSet s1) {
+    const auto emit_s2 = [&emit, s1](NodeSet s2) { return emit(s1, s2); };
+    if constexpr (internal::kCanStop<EmitPair, NodeSet, NodeSet>) {
+      return EnumerateCmp(graph, s1, emit_s2);
+    } else {
+      EnumerateCmp(graph, s1, emit_s2);
+    }
   });
 }
 

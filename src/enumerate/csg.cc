@@ -8,45 +8,12 @@ std::vector<NodeSet> CollectConnectedSubsets(const QueryGraph& graph) {
   return result;
 }
 
-namespace {
-
-/// EnumerateCsgRec with an early-exit counter; returns false once the
-/// cap is reached.
-bool CountCsgRec(const QueryGraph& graph, NodeSet s, NodeSet x, uint64_t cap,
-                 uint64_t* count) {
-  const NodeSet neighborhood = graph.Neighborhood(s) - x;
-  if (neighborhood.empty()) {
-    return true;
-  }
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (++*count >= cap) {
-      return false;
-    }
-  }
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (!CountCsgRec(graph, s | it.Current(), x | neighborhood, cap, count)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 uint64_t CountConnectedSubsetsUpTo(const QueryGraph& graph, uint64_t cap) {
   if (cap == 0) {
     return 0;
   }
   uint64_t count = 0;
-  for (int i = graph.relation_count() - 1; i >= 0; --i) {
-    if (++count >= cap) {
-      return count;
-    }
-    if (!CountCsgRec(graph, NodeSet::Singleton(i), NodeSet::Prefix(i + 1), cap,
-                     &count)) {
-      return count;
-    }
-  }
+  EnumerateCsg(graph, [&count, cap](NodeSet) { return ++count < cap; });
   return count;
 }
 

@@ -1,6 +1,7 @@
 #ifndef JOINOPT_ENUMERATE_CSG_H_
 #define JOINOPT_ENUMERATE_CSG_H_
 
+#include <type_traits>
 #include <vector>
 
 #include "bitset/node_set.h"
@@ -8,6 +9,46 @@
 #include "graph/query_graph.h"
 
 namespace joinopt {
+
+namespace internal {
+
+/// True when a callback invoked with `Args` returns a value, i.e. it can
+/// stop the enumeration; a void callback always continues.
+template <typename Emit, typename... Args>
+inline constexpr bool kCanStop =
+    !std::is_void_v<std::invoke_result_t<Emit&, Args...>>;
+
+/// Invokes emit(args...) and reports whether the enumeration continues.
+template <typename Emit, typename... Args>
+bool Continue(Emit& emit, Args... args) {
+  if constexpr (kCanStop<Emit, Args...>) {
+    return static_cast<bool>(emit(args...));
+  } else {
+    emit(args...);
+    return true;
+  }
+}
+
+/// Whether a nested enumerator's result `go_on` means the callback stopped
+/// the enumeration. Constant false for a void callback, so its check folds
+/// away.
+template <typename Emit, typename... Args>
+bool Stopped(bool go_on) {
+  if constexpr (kCanStop<Emit, Args...>) {
+    return !go_on;
+  } else {
+    return false;
+  }
+}
+
+}  // namespace internal
+
+/// The enumerators below share one early-exit contract. `emit` may return
+/// void (the enumeration always runs to the end) or bool (returning false
+/// stops the whole enumeration at once: resource budgets, capped counts).
+/// Each enumerator returns false exactly when `emit` stopped it. Under a
+/// void callback the continuation checks are compiled out, so the hot
+/// loop carries none.
 
 /// EnumerateCsgRec (Moerkotte & Neumann, Section 3.2): grows the connected
 /// set `s` by every non-empty subset of its neighborhood outside the
@@ -21,43 +62,24 @@ namespace joinopt {
 /// Precondition: `s` is non-empty and induces a connected subgraph;
 /// `x` contains `s`.
 template <typename Emit>
-void EnumerateCsgRec(const QueryGraph& graph, NodeSet s, NodeSet x,
+bool EnumerateCsgRec(const QueryGraph& graph, NodeSet s, NodeSet x,
                      Emit&& emit) {
-  const NodeSet neighborhood = graph.Neighborhood(s) - x;
-  if (neighborhood.empty()) {
-    return;
-  }
-  // First pass: emit all enlargements (subsets before supersets, which the
-  // ascending-mask order of SubsetIterator guarantees).
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    emit(s | it.Current());
-  }
-  // Second pass: recurse, excluding the whole neighborhood so deeper
-  // recursion levels cannot regenerate these sets.
-  for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    EnumerateCsgRec(graph, s | it.Current(), x | neighborhood, emit);
-  }
-}
-
-/// EnumerateCsgRec with early termination: `emit` returns false to stop
-/// the whole enumeration (resource budgets, first-match searches). The
-/// function returns false when the enumeration was stopped. The void
-/// variant above stays separate so its hot loop carries no result checks.
-template <typename Emit>
-bool EnumerateCsgRecUntil(const QueryGraph& graph, NodeSet s, NodeSet x,
-                          Emit&& emit) {
   const NodeSet neighborhood = graph.Neighborhood(s) - x;
   if (neighborhood.empty()) {
     return true;
   }
+  // First pass: emit all enlargements (subsets before supersets, which the
+  // ascending-mask order of SubsetIterator guarantees).
   for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (!emit(s | it.Current())) {
+    if (!internal::Continue(emit, s | it.Current())) {
       return false;
     }
   }
+  // Second pass: recurse, excluding the whole neighborhood so deeper
+  // recursion levels cannot regenerate these sets.
   for (SubsetIterator it(neighborhood); !it.Done(); it.Next()) {
-    if (!EnumerateCsgRecUntil(graph, s | it.Current(), x | neighborhood,
-                              emit)) {
+    if (internal::Stopped<Emit, NodeSet>(EnumerateCsgRec(
+            graph, s | it.Current(), x | neighborhood, emit))) {
       return false;
     }
   }
@@ -74,26 +96,14 @@ bool EnumerateCsgRecUntil(const QueryGraph& graph, NodeSet s, NodeSet x,
 /// forbids each start node's connected sets from containing smaller
 /// indices (the B_i trick that suppresses duplicates).
 template <typename Emit>
-void EnumerateCsg(const QueryGraph& graph, Emit&& emit) {
-  const int n = graph.relation_count();
-  for (int i = n - 1; i >= 0; --i) {
+bool EnumerateCsg(const QueryGraph& graph, Emit&& emit) {
+  for (int i = graph.relation_count() - 1; i >= 0; --i) {
     const NodeSet start = NodeSet::Singleton(i);
-    emit(start);
-    EnumerateCsgRec(graph, start, NodeSet::Prefix(i + 1), emit);
-  }
-}
-
-/// EnumerateCsg with early termination (see EnumerateCsgRecUntil).
-/// Returns false when `emit` stopped the enumeration.
-template <typename Emit>
-bool EnumerateCsgUntil(const QueryGraph& graph, Emit&& emit) {
-  const int n = graph.relation_count();
-  for (int i = n - 1; i >= 0; --i) {
-    const NodeSet start = NodeSet::Singleton(i);
-    if (!emit(start)) {
+    if (!internal::Continue(emit, start)) {
       return false;
     }
-    if (!EnumerateCsgRecUntil(graph, start, NodeSet::Prefix(i + 1), emit)) {
+    if (internal::Stopped<Emit, NodeSet>(
+            EnumerateCsgRec(graph, start, NodeSet::Prefix(i + 1), emit))) {
       return false;
     }
   }

@@ -142,6 +142,53 @@ TEST_P(EnumerateCmpShapeTest, MatchesOracleAndClosedForm) {
             CcpCountUnordered(param.shape, param.n));
 }
 
+TEST_P(EnumerateCmpShapeTest, BoolCallbackStopsAfterKEmissions) {
+  const ShapeCase param = GetParam();
+  Result<QueryGraph> graph = MakeShapeQuery(param.shape, param.n);
+  ASSERT_TRUE(graph.ok());
+  using Pair = std::pair<NodeSet, NodeSet>;
+  const std::vector<Pair> full = CollectCsgCmpPairs(*graph);
+  ASSERT_FALSE(full.empty());
+  // Stopping on the first, a middle and the last pair: the callback sees
+  // exactly the first k pairs of the full order, and the enumerator
+  // reports that it was stopped.
+  for (const size_t k : {size_t{1}, full.size() / 2 + 1, full.size()}) {
+    std::vector<Pair> seen;
+    EXPECT_FALSE(EnumerateCsgCmpPairs(*graph, [&seen, k](NodeSet s1, NodeSet s2) {
+      seen.emplace_back(s1, s2);
+      return seen.size() < k;
+    })) << "k = " << k;
+    EXPECT_EQ(seen, std::vector<Pair>(full.begin(), full.begin() + k))
+        << "k = " << k;
+  }
+  std::vector<Pair> seen;
+  EXPECT_TRUE(EnumerateCsgCmpPairs(*graph, [&seen](NodeSet s1, NodeSet s2) {
+    seen.emplace_back(s1, s2);
+    return true;
+  }));
+  EXPECT_EQ(seen, full);
+
+  // The same contract for EnumerateCmp alone, on the complements of the
+  // lowest-numbered relation.
+  const NodeSet s1 = NodeSet::Singleton(0);
+  std::vector<NodeSet> complements;
+  EXPECT_TRUE(EnumerateCmp(*graph, s1, [&complements](NodeSet s2) {
+    complements.push_back(s2);
+    return true;
+  }));
+  ASSERT_FALSE(complements.empty());
+  for (const size_t k : {size_t{1}, complements.size()}) {
+    std::vector<NodeSet> stopped;
+    EXPECT_FALSE(EnumerateCmp(*graph, s1, [&stopped, k](NodeSet s2) {
+      stopped.push_back(s2);
+      return stopped.size() < k;
+    })) << "k = " << k;
+    EXPECT_EQ(stopped, std::vector<NodeSet>(complements.begin(),
+                                            complements.begin() + k))
+        << "k = " << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, EnumerateCmpShapeTest,
     ::testing::Values(ShapeCase{QueryShape::kChain, 2},

@@ -105,6 +105,31 @@ TEST_P(EnumerateCsgShapeTest, MatchesOracleAndClosedForm) {
             CsgCount(param.shape, param.n));
 }
 
+TEST_P(EnumerateCsgShapeTest, BoolCallbackStopsAfterKEmissions) {
+  const ShapeCase param = GetParam();
+  Result<QueryGraph> graph = MakeShapeQuery(param.shape, param.n);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<NodeSet> full = CollectConnectedSubsets(*graph);
+  // Stopping on the first, a middle (inside the recursion) and the last
+  // emission: the callback sees exactly the first k sets of the full
+  // order, and the enumerator reports that it was stopped.
+  for (const size_t k : {size_t{1}, full.size() / 2 + 1, full.size()}) {
+    std::vector<NodeSet> seen;
+    EXPECT_FALSE(EnumerateCsg(*graph, [&seen, k](NodeSet s) {
+      seen.push_back(s);
+      return seen.size() < k;
+    })) << "k = " << k;
+    EXPECT_EQ(seen, std::vector<NodeSet>(full.begin(), full.begin() + k))
+        << "k = " << k;
+  }
+  std::vector<NodeSet> seen;
+  EXPECT_TRUE(EnumerateCsg(*graph, [&seen](NodeSet s) {
+    seen.push_back(s);
+    return true;
+  }));
+  EXPECT_EQ(seen, full);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, EnumerateCsgShapeTest,
     ::testing::Values(ShapeCase{QueryShape::kChain, 2},

@@ -60,6 +60,14 @@ run_pass() {
     echo "fuzz smoke: wire mutation rounds never rejected a corrupt frame" >&2
     exit 1
   fi
+  # And for the default policy's DPconv route: each plain round adds a
+  # dense Cout draw that the `when=dense` gate must route to DPconv, so a
+  # run that routed nothing never checked that route against DPccp.
+  if ! grep -Eq "policy fuzz: [0-9]+ default-policy runs, [1-9][0-9]* routed to DPconv" \
+      "${build_dir}/fuzz_smoke.log"; then
+    echo "fuzz smoke: the default policy never routed a query to DPconv" >&2
+    exit 1
+  fi
   echo "=== ${label}: soak smoke ==="
   # The concurrent anytime soak: mixed graph families, randomized budget
   # / deadline / fault trips, per-thread fault injectors. Any crash,

@@ -17,7 +17,13 @@
 ///                policy joins the pool: it must name the orderer its
 ///                `when=dense` gate picks (DPconv or DPccp), record no
 ///                fallback, and return DPccp's cost bit for bit (below
-///                saturation when it routed to DPconv).
+///                saturation when it routed to DPconv). Plain rounds are
+///                Cout rounds, and each also draws its own dense query
+///                (a clique or random connected graph, 10..12 relations,
+///                edge density >= 1/4) from a separate stream, so the
+///                gate's DPconv route is exercised every time: the
+///                summary line "policy fuzz: N default-policy runs, M
+///                routed to DPconv" is grep-guarded in CI (M >= 1).
 ///   extreme      legal-but-extreme statistics (cardinalities up to
 ///                1e305, selectivities down to 1e-305) that overflow
 ///                naive arithmetic immediately. Same oracle as `plain`,
@@ -180,6 +186,79 @@ void EmitRepro(testing::ReproBundle bundle) {
     }                                                          \
   } while (false)
 
+/// The default policy's differential: it runs the step its `when=dense`
+/// gate picks, never falls back on an unlimited run, produces a valid
+/// plan, and lands on DPccp's cost bit for bit — for a DPconv-routed
+/// query only below saturation (`min_cost` is the smallest cost any exact
+/// DP found), as for DPconv itself.
+void CheckDefaultPolicy(const QueryGraph& graph, const CostModel& cost_model,
+                        double dpccp_cost, double min_cost,
+                        FuzzFailure* failure) {
+  OptimizerContext ctx(graph, cost_model);
+  Result<OptimizationResult> result =
+      RunDegradationPolicy(DegradationPolicy::Default(), ctx);
+  FUZZ_CHECK(result.ok(), "default policy failed: %s",
+             result.status().ToString().c_str());
+  const bool routed = StepGateHolds(StepGate::kDense, graph, cost_model);
+  ++g_policy_fuzz.runs;
+  g_policy_fuzz.routed += routed ? 1 : 0;
+  FUZZ_CHECK(result->stats.algorithm == (routed ? "DPconv" : "DPccp"),
+             "default policy ran %s, want %s",
+             result->stats.algorithm.c_str(), routed ? "DPconv" : "DPccp");
+  FUZZ_CHECK(result->stats.fallback_from.empty(),
+             "default policy fell back from %s on an unlimited run",
+             result->stats.fallback_from.c_str());
+  PlanValidationOptions validation;
+  validation.relative_tolerance = 1e-6;
+  const Status valid =
+      ValidatePlan(result->plan, graph, cost_model, validation);
+  FUZZ_CHECK(valid.ok(), "default policy plan failed validation: %s",
+             valid.ToString().c_str());
+  if (!routed || min_cost < kSaturationRegime) {
+    FUZZ_CHECK(result->cost == dpccp_cost,
+               "default policy cost %.17g != DPccp cost %.17g "
+               "(bit-identity contract)",
+               result->cost, dpccp_cost);
+  }
+}
+
+/// Draws a query the default policy's `when=dense` gate routes to DPconv
+/// under Cout: a clique or a random connected graph on 10-12 relations
+/// with edge density at least 1/4. The shared workload draw (2-10
+/// relations, mostly sparse) almost never reaches that route.
+Result<QueryGraph> DrawDenseGraph(Random& rng, std::string* family) {
+  WorkloadConfig config;
+  config.seed = rng.NextUint64();
+  const int n = 10 + static_cast<int>(rng.Uniform(3));
+  if (rng.Uniform(2) == 0) {
+    *family = "dense-clique";
+    return MakeCliqueQuery(n, config);
+  }
+  *family = "dense-random";
+  // 8·E >= n(n-1), with E = (n - 1) tree edges + `extra`.
+  const int min_extra = (n * (n - 1) + 7) / 8 - (n - 1);
+  const int max_extra = n * (n - 1) / 2 - (n - 1);
+  const int extra =
+      min_extra + static_cast<int>(rng.Uniform(max_extra - min_extra + 1));
+  return MakeRandomConnectedQuery(n, extra, config);
+}
+
+/// The default policy's differential on a dense Cout draw (see
+/// DrawDenseGraph): the gate must hold, and the DPconv route must match
+/// DPccp's cost.
+void CheckDenseDefaultPolicy(const QueryGraph& graph,
+                             const CostModel& cost_model,
+                             FuzzFailure* failure) {
+  FUZZ_CHECK(StepGateHolds(StepGate::kDense, graph, cost_model),
+             "dense draw (n=%d, %d edges) misses the when=dense gate",
+             graph.relation_count(), graph.edge_count());
+  Result<OptimizationResult> dpccp =
+      OptimizerRegistry::Get("DPccp")->Optimize(graph, cost_model);
+  FUZZ_CHECK(dpccp.ok(), "DPccp failed on a dense draw: %s",
+             dpccp.status().ToString().c_str());
+  CheckDefaultPolicy(graph, cost_model, dpccp->cost, dpccp->cost, failure);
+}
+
 /// The differential oracle: all four algorithms succeed, their plans
 /// validate, and their costs agree (up to saturation).
 void CheckAgreement(const QueryGraph& graph, const CostModel& cost_model,
@@ -227,33 +306,9 @@ void CheckAgreement(const QueryGraph& graph, const CostModel& cost_model,
     min_cost = std::min(min_cost, costs[a]);
     max_cost = std::max(max_cost, costs[a]);
   }
-  {
-    OptimizerContext ctx(graph, cost_model);
-    Result<OptimizationResult> result =
-        RunDegradationPolicy(DegradationPolicy::Default(), ctx);
-    FUZZ_CHECK(result.ok(), "default policy failed: %s",
-               result.status().ToString().c_str());
-    const bool routed = StepGateHolds(StepGate::kDense, graph, cost_model);
-    ++g_policy_fuzz.runs;
-    g_policy_fuzz.routed += routed ? 1 : 0;
-    FUZZ_CHECK(result->stats.algorithm == (routed ? "DPconv" : "DPccp"),
-               "default policy ran %s, want %s",
-               result->stats.algorithm.c_str(), routed ? "DPconv" : "DPccp");
-    FUZZ_CHECK(result->stats.fallback_from.empty(),
-               "default policy fell back from %s on an unlimited run",
-               result->stats.fallback_from.c_str());
-    PlanValidationOptions validation;
-    validation.relative_tolerance = 1e-6;
-    const Status valid =
-        ValidatePlan(result->plan, graph, cost_model, validation);
-    FUZZ_CHECK(valid.ok(), "default policy plan failed validation: %s",
-               valid.ToString().c_str());
-    if (!routed || min_cost < kSaturationRegime) {
-      FUZZ_CHECK(result->cost == costs[kDPccpIndex],
-                 "default policy cost %.17g != DPccp cost %.17g "
-                 "(bit-identity contract)",
-                 result->cost, costs[kDPccpIndex]);
-    }
+  CheckDefaultPolicy(graph, cost_model, costs[kDPccpIndex], min_cost, failure);
+  if (failure->failed) {
+    return;
   }
   if (cout_model && ran[kDPconvIndex] && min_cost < kSaturationRegime) {
     // Below saturation the subset convolution and the csg-cmp sweep must
@@ -696,6 +751,21 @@ int Run(uint64_t seed, uint64_t iterations, bool verbose) {
       }
       if (!failure.failed) {
         CheckWireMutation(rng, &failure);
+      }
+    }
+    if (!failure.failed && mode == 0) {
+      // Plain rounds are Cout rounds. The dense draw has its own stream so
+      // the rest of the iteration's draws stay as they were; from here on
+      // `graph` and `family` name the dense query, so a failure reports
+      // and captures it.
+      Random dense_rng(~(seed * 1000003 + i));
+      Result<QueryGraph> dense = DrawDenseGraph(dense_rng, &family);
+      if (dense.ok()) {
+        graph = std::move(*dense);
+        CheckDenseDefaultPolicy(graph, cout_model, &failure);
+      } else {
+        failure.failed = true;
+        failure.detail = "dense generator failed: " + dense.status().ToString();
       }
     }
     if (failure.failed) {
